@@ -7,6 +7,7 @@ package spatialhist
 // paper` for paper-scale numbers (recorded in EXPERIMENTS.md).
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"spatialhist/internal/euler"
 	"spatialhist/internal/exact"
 	"spatialhist/internal/experiments"
+	"spatialhist/internal/geobrowse"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/interval"
@@ -320,6 +322,41 @@ func BenchmarkBrowseGrid(b *testing.B) {
 	b.Run("batched-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.EstimateGridParallel(est, region, cols, rows, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkBrowseEncode renders one 90x45-tile (4050-tile) browse map —
+// the size the browse-cold benchmark workload serves — two ways:
+// json.Marshal of the reference response types (TileEstimates +
+// BrowseResponse, the reference the oracle compares against) and the
+// append encoder the servers use. Hermetic: the estimates are synthetic,
+// so the bench times encoding alone.
+func BenchmarkBrowseEncode(b *testing.B) {
+	g := grid.New(geom.NewRect(-180, -90, 180, 90), 1440, 720)
+	region := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
+	const cols, rows = 90, 45
+	rng := rand.New(rand.NewSource(12))
+	ests := make([]core.Estimate, cols*rows)
+	for i := range ests {
+		ests[i] = core.Estimate{Disjoint: 500_000 - rng.Int63n(5000), Contains: rng.Int63n(3000),
+			Contained: rng.Int63n(40) - 5, Overlap: rng.Int63n(2000)}
+	}
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(geobrowse.BrowseResponse{Cols: cols, Rows: rows,
+				Tiles: geobrowse.TileEstimates(g, region, cols, rows, ests)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := geobrowse.AppendBrowse(nil, g, region, cols, rows, ests, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

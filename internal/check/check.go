@@ -21,6 +21,8 @@
 //	replay vs live          WAL replay and checkpoint resume of a
 //	                        live.Store vs an uninterrupted in-memory
 //	                        store fed the identical mutations.
+//	encode vs json          the append response encoders vs json.Marshal
+//	                        of the reference response types.
 //
 // plus the metamorphic properties the paper implies (per-tile
 // conservation, translation and refinement consistency of tile maps,
@@ -191,6 +193,12 @@ func Oracles() []Check {
 			Kind: KindOracle,
 			Doc:  "the two-histogram join product sum equals the exact dual-rtree pair count for MBR datasets and the exact summed Euler characteristic for rasterized objects, across lattice tiers and the resampling path",
 			Run:  runJoinVsExact,
+		},
+		{
+			Name: "encode-vs-json",
+			Kind: KindOracle,
+			Doc:  "the append encoders render browse, faceted browse, query and drill bodies byte-identical to json.Marshal of the reference response types, across float cut-overs, clamped and extreme counts, and ε bounds",
+			Run:  runEncodeVsJSON,
 		},
 	}
 }

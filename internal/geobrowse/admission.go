@@ -122,7 +122,7 @@ func NewLimiter(cfg AdmissionConfig) *Limiter {
 		mQueue: reg.Gauge("geobrowse_admission_queue_depth",
 			"Browse-path requests waiting for an admission slot."),
 		mWait: reg.Histogram("geobrowse_admission_wait_seconds",
-			"Time admitted requests spent waiting for a slot.", nil),
+			"Time admitted requests spent waiting for a slot (0 for those admitted at once).", nil),
 	}
 }
 
@@ -149,6 +149,10 @@ func (l *Limiter) Acquire(ctx context.Context, tenant string) (release func(), e
 		l.inflight++
 		l.mInflight.Set(int64(l.inflight))
 		l.mu.Unlock()
+		// Admitted without waiting: a zero wait, observed so the
+		// histogram's count is every admitted request and its quantiles
+		// are not skewed toward the queued ones.
+		l.mWait.Observe(0)
 		return l.releaseFunc(), nil
 	}
 	if l.queued >= l.maxQueue {

@@ -331,3 +331,25 @@ func TestAdmissionHTTP(t *testing.T) {
 		}
 	}
 }
+
+// TestUncontendedAcquireObservesZeroWait: requests admitted on the fast
+// path still land in the wait histogram, as zero waits, so its count is
+// every admission and its quantiles are not only the queued requests'.
+func TestUncontendedAcquireObservesZeroWait(t *testing.T) {
+	l, reg := testLimiter(t, AdmissionConfig{MaxInflight: 2})
+	const n = 25
+	for i := 0; i < n; i++ {
+		release, err := l.Acquire(context.Background(), "a")
+		if err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
+		}
+		release()
+	}
+	snap := reg.Histogram("geobrowse_admission_wait_seconds", "", nil).Snapshot()
+	if snap.Count != n {
+		t.Fatalf("wait histogram count = %d after %d uncontended acquires, want %d", snap.Count, n, n)
+	}
+	if snap.Sum != 0 || snap.Counts[0] != n {
+		t.Fatalf("uncontended waits must observe 0: sum %v, first bucket %d", snap.Sum, snap.Counts[0])
+	}
+}

@@ -1,7 +1,6 @@
 package geobrowse
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -101,7 +100,8 @@ func (s *ArchiveServer) handleInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// FacetedBrowseResponse is the archive /api/browse response.
+// FacetedBrowseResponse is the archive /api/browse response, rendered by
+// AppendFacetedBrowse (the type is its reference form).
 type FacetedBrowseResponse struct {
 	Cols     int            `json:"cols"`
 	Rows     int            `json:"rows"`
@@ -111,14 +111,15 @@ type FacetedBrowseResponse struct {
 
 func (s *ArchiveServer) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	sc := s.a.Schema()
-	span, cols, rows, err := parseBrowse(sc.Grid, r)
+	q := r.URL.Query()
+	span, cols, rows, err := parseBrowse(sc.Grid, q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
 	f := archive.Filter{}
-	if raw := r.URL.Query().Get("subjects"); raw != "" {
+	if raw := q.Get("subjects"); raw != "" {
 		for _, part := range strings.Split(raw, ",") {
 			idx, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
@@ -129,7 +130,7 @@ func (s *ArchiveServer) handleBrowse(w http.ResponseWriter, r *http.Request) {
 			f.Subjects = append(f.Subjects, idx)
 		}
 	}
-	fromRaw, toRaw := r.URL.Query().Get("from"), r.URL.Query().Get("to")
+	fromRaw, toRaw := q.Get("from"), q.Get("to")
 	if (fromRaw == "") != (toRaw == "") {
 		http.Error(w, "parameters \"from\" and \"to\" must be given together", http.StatusBadRequest)
 		return
@@ -145,7 +146,7 @@ func (s *ArchiveServer) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The filter participates in the cache key via its raw parameters.
-	facets := r.URL.Query().Get("subjects") + "|" + r.URL.Query().Get("from") + "|" + r.URL.Query().Get("to")
+	facets := q.Get("subjects") + "|" + fromRaw + "|" + toRaw
 	key := browseKey(0, 0, span, cols, rows, facets)
 	data, err := s.cache.Do(key, func() ([]byte, error) {
 		matching, err := s.a.MatchCount(f)
@@ -158,12 +159,10 @@ func (s *ArchiveServer) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		resp := FacetedBrowseResponse{Cols: cols, Rows: rows, Matching: matching,
-			Tiles: TileEstimates(sc.Grid, span, cols, rows, ests)}
-		return json.Marshal(resp)
+		return encodeBrowse(AppendFacetedBrowse(nil, sc.Grid, span, cols, rows, matching, ests))
 	})
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeBrowseError(w, err)
 		return
 	}
 	writeJSONBytes(w, data)

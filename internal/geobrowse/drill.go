@@ -9,7 +9,9 @@ import (
 )
 
 // DrillResponse is the /api/drill response: leaf tiles of an adaptive
-// refinement, depth-first from the south-west.
+// refinement, depth-first from the south-west. Servers render it with
+// AppendDrill; the type is the reference form the encode-vs-json oracle
+// marshals.
 type DrillResponse struct {
 	Relation string      `json:"relation"`
 	Tiles    []DrillTile `json:"tiles"`
@@ -33,16 +35,17 @@ const drillMaxDepth = 16
 // shard coordinator) that must accept exactly the requests a Server
 // accepts.
 func ParseDrillRequest(g *grid.Grid, r *http.Request) (span grid.Span, rel geom.Rel2, hot, depth int, err error) {
-	if span, err = parseRegion(g, r); err != nil {
+	q := r.URL.Query()
+	if span, err = parseRegion(g, q); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
-	if rel, err = parseRelation(r.URL.Query().Get("relation")); err != nil {
+	if rel, err = parseRelation(q.Get("relation")); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
-	if hot, err = posIntParam(r, "hot", unboundedParam); err != nil {
+	if hot, err = posIntParam(q, "hot", unboundedParam); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
-	if depth, err = posIntParam(r, "depth", drillMaxDepth); err != nil {
+	if depth, err = posIntParam(q, "depth", drillMaxDepth); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
 	return span, rel, hot, depth, nil
@@ -69,11 +72,9 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := DrillResponse{Relation: rel.String(), Tiles: make([]DrillTile, 0, len(leaves))}
-	for _, l := range leaves {
-		resp.Tiles = append(resp.Tiles, DrillTile{TileEstimate: tileFor(est, l.Span), Depth: l.Depth})
-	}
-	writeJSON(w, resp)
+	// Leaves render from the estimate that decided them: one Estimate per
+	// evaluated span.
+	WriteDrill(w, est.Grid(), span, rel, leaves)
 	s.warmFromDrill(span, depth)
 }
 

@@ -24,11 +24,13 @@ package geobrowse
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -153,6 +155,7 @@ type Server struct {
 	tenant  string
 	limiter *Limiter
 	epsilon float64 // ε-approximate overview serving; 0 = exact only
+	facet   string  // browse-cache key facet of ε-opted servers
 	drain   atomic.Bool
 
 	approx *telemetry.Counter // browse maps served from the reduced tier
@@ -191,6 +194,13 @@ func NewSourceServer(name string, src EstimatorSource, opts Options) *Server {
 		tenant:  opts.Tenant,
 		limiter: opts.Limiter,
 		epsilon: opts.OverviewEpsilon,
+	}
+	if s.epsilon > 0 {
+		// ε-opted servers key their entries on a distinct facet: whether
+		// a map is served approximately depends on the data
+		// (certification), so its bytes must never collide with an
+		// exact-only server's.
+		s.facet = fmt.Sprintf("~%g", s.epsilon)
 	}
 	if s.sem == nil {
 		s.sem = make(chan struct{}, opts.Workers)
@@ -271,7 +281,8 @@ type TileEstimate struct {
 	Overlap   int64      `json:"overlap"`
 }
 
-// BrowseResponse is the /api/browse response.
+// BrowseResponse is the /api/browse response, rendered by AppendBrowse
+// (the type is its reference form).
 type BrowseResponse struct {
 	Cols  int            `json:"cols"`
 	Rows  int            `json:"rows"`
@@ -299,18 +310,18 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	span, err := s.parseRegion(r)
+	span, err := parseRegion(s.g, r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	est, _, release := acquireEstimator(s.src)
 	defer release()
-	writeJSON(w, tileFor(est, span))
+	WriteTile(w, est.Grid(), span, est.Estimate(span))
 }
 
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	span, cols, rows, err := parseBrowse(s.g, r)
+	span, cols, rows, err := parseBrowse(s.g, r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -323,44 +334,62 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	data, err := s.browseBytes(est, gen, span, cols, rows)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeBrowseError(w, err)
 		return
 	}
 	writeJSONBytes(w, data)
+}
+
+// encodeError marks a browse computation that failed in rendering rather
+// than estimation, so the handler answers 500 instead of 400.
+type encodeError struct{ err error }
+
+func (e *encodeError) Error() string { return e.err.Error() }
+
+// encodeBrowse passes on a rendered browse body (AppendBrowse and
+// AppendFacetedBrowse into nil are exactly sized for the cache), marking
+// a failure as an encodeError.
+func encodeBrowse(data []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, &encodeError{err}
+	}
+	return data, nil
+}
+
+// writeBrowseError answers a failed browse computation: a rendering
+// failure is a server bug (500, counted), anything else a bad request.
+func writeBrowseError(w http.ResponseWriter, err error) {
+	var ee *encodeError
+	if errors.As(err, &ee) {
+		writeEncodeError(w, "browse map", ee.err)
+		return
+	}
+	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
 // browseBytes computes (or serves from cache) the marshaled browse
 // response for one tiling against a pinned estimator — the shared body of
 // handleBrowse and the drill-triggered cache warmer.
 func (s *Server) browseBytes(est core.Estimator, gen uint64, span grid.Span, cols, rows int) ([]byte, error) {
-	// ε-opted servers key their entries on a distinct facet: whether a
-	// map is served approximately depends on the data (certification),
-	// so its bytes must never collide with an exact-only server's.
 	facet := ""
 	z, _ := est.(*core.Zoom)
 	tryApprox := s.epsilon > 0 && z != nil
 	if tryApprox {
-		facet = fmt.Sprintf("~%g", s.epsilon)
+		facet = s.facet
 	}
 	key := browseKey(gen, resolvedLevel(est, span, cols, rows), span, cols, rows, facet)
 	return s.cache.Do(key, func() ([]byte, error) {
 		if tryApprox {
 			if ests, bound, ok := z.EstimateGridApprox(span, cols, rows, s.epsilon); ok {
 				s.approx.Inc()
-				resp := BrowseResponse{
-					Cols: cols, Rows: rows,
-					Tiles:            TileEstimates(s.g, span, cols, rows, ests),
-					ApproxErrorBound: &bound,
-				}
-				return json.Marshal(resp)
+				return encodeBrowse(AppendBrowse(nil, s.g, span, cols, rows, ests, &bound))
 			}
 		}
 		ests, err := s.estimateTiles(est, span, cols, rows)
 		if err != nil {
 			return nil, err
 		}
-		resp := BrowseResponse{Cols: cols, Rows: rows, Tiles: TileEstimates(s.g, span, cols, rows, ests)}
-		return json.Marshal(resp)
+		return encodeBrowse(AppendBrowse(nil, s.g, span, cols, rows, ests, nil))
 	})
 }
 
@@ -425,9 +454,10 @@ func rowParallel(sem chan struct{}, pm *poolMetrics, region grid.Span, cols, row
 }
 
 // TileEstimates pairs clamped estimates with their tile rectangles in
-// row-major order — the browse response body. Exported so a scatter-gather
-// coordinator can render merged raw estimates into the identical wire form
-// a single server produces.
+// row-major order — the reference form of a browse response body. The
+// servers render with AppendBrowse; this, NewTileEstimate and the
+// response types are what the encode-vs-json oracle marshals to prove the
+// appenders byte-identical.
 func TileEstimates(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate) []TileEstimate {
 	tw := region.Width() / cols
 	th := region.Height() / rows
@@ -442,7 +472,7 @@ func TileEstimates(g *grid.Grid, region grid.Span, cols, rows int, ests []core.E
 }
 
 // NewTileEstimate renders one raw estimate for a span into the clamped
-// wire form of a browse tile.
+// wire form of a browse tile (the reference form; see TileEstimates).
 func NewTileEstimate(g *grid.Grid, span grid.Span, e core.Estimate) TileEstimate {
 	rect := g.SpanRect(span)
 	c := e.Clamped()
@@ -478,23 +508,44 @@ func resolvedLevel(est core.Estimator, span grid.Span, cols, rows int) int {
 // level is the resolved pyramid level the map is served from (0 when no
 // pyramid is in play). facets distinguishes faceted (archive) requests
 // over the same region.
+//
+// The key reads g<gen>:l<level>:<I1>,<J1>,<I2>,<J2>/<cols>x<rows>;<facets>
+// and is built by appending, since it is formed on every browse request.
 func browseKey(gen uint64, level int, span grid.Span, cols, rows int, facets string) string {
-	return fmt.Sprintf("g%d:l%d:%d,%d,%d,%d/%dx%d;%s", gen, level, span.I1, span.J1, span.I2, span.J2, cols, rows, facets)
+	var buf [96]byte
+	b := append(buf[:0], 'g')
+	b = strconv.AppendUint(b, gen, 10)
+	b = append(b, ":l"...)
+	b = strconv.AppendInt(b, int64(level), 10)
+	for i, v := range [4]int{span.I1, span.J1, span.I2, span.J2} {
+		sep := byte(',')
+		if i == 0 {
+			sep = ':'
+		}
+		b = strconv.AppendInt(append(b, sep), int64(v), 10)
+	}
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(cols), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(rows), 10)
+	b = append(b, ';')
+	b = append(b, facets...)
+	return string(b)
 }
 
-// parseBrowse reads the region and tiling of a browse request, bounding
-// cols and rows individually before multiplying so the product check
-// cannot be bypassed by overflow.
-func parseBrowse(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int, err error) {
-	span, err = parseRegion(g, r)
+// parseBrowse reads the region and tiling of a browse request's query,
+// bounding cols and rows individually before multiplying so the product
+// check cannot be bypassed by overflow.
+func parseBrowse(g *grid.Grid, q url.Values) (span grid.Span, cols, rows int, err error) {
+	span, err = parseRegion(g, q)
 	if err != nil {
 		return grid.Span{}, 0, 0, err
 	}
-	cols, err = posIntParam(r, "cols", maxTiles)
+	cols, err = posIntParam(q, "cols", maxTiles)
 	if err != nil {
 		return grid.Span{}, 0, 0, err
 	}
-	rows, err = posIntParam(r, "rows", maxTiles)
+	rows, err = posIntParam(q, "rows", maxTiles)
 	if err != nil {
 		return grid.Span{}, 0, 0, err
 	}
@@ -504,39 +555,28 @@ func parseBrowse(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int,
 	return span, cols, rows, nil
 }
 
-func tileFor(est core.Estimator, span grid.Span) TileEstimate {
-	return NewTileEstimate(est.Grid(), span, est.Estimate(span))
-}
-
 // ParseBrowseRequest reads the region and tiling parameters of a browse
 // request against g — exported for front-ends (the shard coordinator) that
 // must accept exactly the requests a Server accepts.
 func ParseBrowseRequest(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int, err error) {
-	return parseBrowse(g, r)
+	return parseBrowse(g, r.URL.Query())
 }
 
 // ParseRegionRequest reads the x1..y2 region parameters of a request
 // against g.
 func ParseRegionRequest(g *grid.Grid, r *http.Request) (grid.Span, error) {
-	return parseRegion(g, r)
+	return parseRegion(g, r.URL.Query())
 }
 
 // ParseRelation converts a relation query parameter to its geom.Rel2.
 func ParseRelation(arg string) (geom.Rel2, error) { return parseRelation(arg) }
 
-// WriteJSON marshals v and writes it with the JSON content type — the
-// Server's own response writer, exported for coordinator front-ends.
-func WriteJSON(w http.ResponseWriter, v any) { writeJSON(w, v) }
-
-// parseRegion reads x1..y2 and converts them to a grid-aligned span.
-func (s *Server) parseRegion(r *http.Request) (grid.Span, error) {
-	return parseRegion(s.g, r)
-}
-
-func parseRegion(g *grid.Grid, r *http.Request) (grid.Span, error) {
+// parseRegion reads x1..y2 from a request's query and converts them to a
+// grid-aligned span.
+func parseRegion(g *grid.Grid, q url.Values) (grid.Span, error) {
 	var vals [4]float64
-	for i, name := range []string{"x1", "y1", "x2", "y2"} {
-		raw := r.URL.Query().Get(name)
+	for i, name := range [4]string{"x1", "y1", "x2", "y2"} {
+		raw := q.Get(name)
 		if raw == "" {
 			return grid.Span{}, fmt.Errorf("missing parameter %q", name)
 		}
@@ -555,8 +595,8 @@ func parseRegion(g *grid.Grid, r *http.Request) (grid.Span, error) {
 }
 
 // posIntParam parses a positive integer parameter bounded by max.
-func posIntParam(r *http.Request, name string, max int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func posIntParam(q url.Values, name string, max int) (int, error) {
+	raw := q.Get(name)
 	v, err := strconv.Atoi(raw)
 	if err != nil || v <= 0 {
 		return 0, fmt.Errorf("parameter %q must be a positive integer, got %q", name, raw)
@@ -574,14 +614,20 @@ func posIntParam(r *http.Request, name string, max int) (int, error) {
 func writeJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		logf("geobrowse: encoding %T: %v", v, err)
-		if mw, ok := w.(interface{ countEncodeError() }); ok {
-			mw.countEncodeError()
-		}
-		http.Error(w, "internal error", http.StatusInternalServerError)
+		writeEncodeError(w, fmt.Sprintf("%T", v), err)
 		return
 	}
 	writeJSONBytes(w, data)
+}
+
+// writeEncodeError answers a response that could not be encoded: logged,
+// counted as an encode error by the middleware's metricsWriter, and a 500.
+func writeEncodeError(w http.ResponseWriter, what string, err error) {
+	logf("geobrowse: encoding %s: %v", what, err)
+	if mw, ok := w.(interface{ countEncodeError() }); ok {
+		mw.countEncodeError()
+	}
+	http.Error(w, "internal error", http.StatusInternalServerError)
 }
 
 // writeJSONBytes writes pre-marshaled JSON, setting the content type
@@ -590,8 +636,15 @@ func writeJSON(w http.ResponseWriter, v any) {
 // telemetry middleware, the bytes written and the error also land in the
 // geobrowse_http_response_bytes_total and geobrowse_http_write_errors_total
 // counters through the metricsWriter this writes to.
+//
+// The body is complete before the header is written, so it goes out with
+// a Content-Length rather than chunked: a browse body (hundreds of KB)
+// then ends with its last byte, not with a terminating chunk written
+// after the handler returns, which a client would otherwise wait for.
 func writeJSONBytes(w http.ResponseWriter, data []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(data); err != nil {
 		logf("geobrowse: writing response: %v", err)

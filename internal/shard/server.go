@@ -24,7 +24,7 @@ import (
 //	GET  /metrics       the registry's exposition
 //
 // Requests are parsed with the geobrowse parsers and responses rendered
-// with the geobrowse tile helpers, so the coordinator's wire format —
+// with the geobrowse encoders, so the coordinator's wire format —
 // including clamping, tile order and rectangle geometry — is byte-for-byte
 // the single-server format. The merge happens on raw sums; clamping is
 // applied only afterward, exactly once, like a single store does.
@@ -72,7 +72,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, geobrowse.NewTileEstimate(s.c.Grid(), span, ests[0]))
+	geobrowse.WriteTile(w, s.c.Grid(), span, ests[0])
 }
 
 func (s *server) handleBrowse(w http.ResponseWriter, r *http.Request) {
@@ -86,10 +86,7 @@ func (s *server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, geobrowse.BrowseResponse{
-		Cols: cols, Rows: rows,
-		Tiles: geobrowse.TileEstimates(s.c.Grid(), span, cols, rows, ests),
-	})
+	geobrowse.WriteBrowse(w, s.c.Grid(), span, cols, rows, ests)
 }
 
 func (s *server) handleDrill(w http.ResponseWriter, r *http.Request) {
@@ -108,14 +105,7 @@ func (s *server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := geobrowse.DrillResponse{Relation: rel.String(), Tiles: make([]geobrowse.DrillTile, 0, len(leaves))}
-	for _, l := range leaves {
-		resp.Tiles = append(resp.Tiles, geobrowse.DrillTile{
-			TileEstimate: geobrowse.NewTileEstimate(s.c.Grid(), l.Span, l.Estimate),
-			Depth:        l.Depth,
-		})
-	}
-	writeJSON(w, resp)
+	geobrowse.WriteDrill(w, s.c.Grid(), span, rel, leaves)
 }
 
 func (s *server) handleMutation(w http.ResponseWriter, r *http.Request, op byte) {
