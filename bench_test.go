@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -23,7 +25,10 @@ import (
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/interval"
+	"spatialhist/internal/live"
 	"spatialhist/internal/rtree"
+	"spatialhist/internal/shard"
+	"spatialhist/internal/telemetry"
 )
 
 // benchEnv is shared by the figure benches so dataset generation and
@@ -462,4 +467,68 @@ func BenchmarkDrilldown(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkShardHop measures the coordinator-shard hop end to end over
+// loopback HTTP: a coordinator over two shard nodes (NodeHandler beside
+// the live server, mounted the way geobrowsed mounts them) answers a
+// 96-tile browse map through EstimateGrid and a 256-span drill frontier
+// through EstimateSpans. Each op is one scatter, a request and response
+// frame per shard, and one merge; B/op and allocs/op are mostly the
+// codec and net/http on both ends of the hop.
+func BenchmarkShardHop(b *testing.B) {
+	d := dataset.ADLLike(20_000, 7)
+	g := grid.New(d.Extent, 360, 180)
+	part, err := shard.NewPartition(g, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := shard.Config{Name: "bench", ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
+	for i, rects := range part.RouteRects(d.Rects) {
+		reg := telemetry.NewRegistry()
+		s, err := live.Open(live.Config{Grid: g, Algo: live.AlgoMEuler, Areas: []float64{1, 9, 100},
+			Seed: rects, Telemetry: reg})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		mux := http.NewServeMux()
+		mux.Handle("/api/shard/", shard.NodeHandler(s, reg))
+		mux.Handle("/", geobrowse.NewLiveServer(fmt.Sprint("shard", i), s, geobrowse.Options{Telemetry: reg}))
+		ts := httptest.NewServer(mux)
+		defer ts.Close()
+		cfg.Shards = append(cfg.Shards, shard.Backends{Leader: &shard.HTTPHandle{Base: ts.URL}})
+	}
+	c, err := shard.NewCoordinator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+
+	region := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
+	b.Run("grid96", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.EstimateGrid(region, 8, 12); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// A depth-3 drill level: the region quartered four times.
+	spans := []grid.Span{region}
+	for level := 0; level < 4; level++ {
+		var next []grid.Span
+		for _, s := range spans {
+			next = append(next, core.Quarter(s)...)
+		}
+		spans = next
+	}
+	b.Run("spans256", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.EstimateSpans(spans); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

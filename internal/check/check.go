@@ -173,7 +173,7 @@ func Oracles() []Check {
 		{
 			Name: "sharded-vs-single",
 			Kind: KindOracle,
-			Doc:  "a coordinator's merged scatter-gather answers over column-band shards are bit-identical to one store fed the same stream, including under concurrent reads",
+			Doc:  "a coordinator's merged scatter-gather answers over column-band shards are bit-identical to one store fed the same stream, including under concurrent reads, both in-process and across the coordinator-node frame hop",
 			Run:  runShardedVsSingle,
 		},
 		{

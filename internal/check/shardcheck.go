@@ -2,8 +2,12 @@ package check
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,12 +50,63 @@ func shardOps(m gen.Mutation) []flatOp {
 	}
 }
 
+// wireNodes serves the shard-node endpoints of every round's stores from
+// one loopback server, started on first use and kept for the life of the
+// process, so a soak pays neither a listener nor fresh connections per
+// round. Each mounted store answers under its own path prefix.
+var wireNodes struct {
+	once   sync.Once
+	srv    *httptest.Server
+	client *http.Client
+	next   atomic.Int64
+	nodes  sync.Map // prefix id -> http.Handler
+}
+
+// mountWireNode serves s through shard.NodeHandler on the loopback server
+// and returns an HTTPHandle to it plus the function that unmounts it.
+func mountWireNode(s *live.Store) (*shard.HTTPHandle, func()) {
+	wireNodes.once.Do(func() {
+		wireNodes.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			id, _, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/"), "/")
+			h, ok := wireNodes.nodes.Load(id)
+			if !ok {
+				http.NotFound(w, r)
+				return
+			}
+			h.(http.Handler).ServeHTTP(w, r)
+		}))
+		wireNodes.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
+	})
+	id := strconv.FormatInt(wireNodes.next.Add(1), 10)
+	wireNodes.nodes.Store(id, http.StripPrefix("/"+id, shard.NodeHandler(s, telemetry.NewRegistry())))
+	h := &shard.HTTPHandle{Base: wireNodes.srv.URL + "/" + id, Client: wireNodes.client, Label: "wire" + id}
+	return h, func() { wireNodes.nodes.Delete(id) }
+}
+
+// wireHandle is a shard leader whose estimates cross the coordinator-node
+// frame hop (NodeHandler served on loopback, read through HTTPHandle);
+// status, info and writes stay in-process.
+type wireHandle struct {
+	*shard.LocalHandle
+	wire *shard.HTTPHandle
+}
+
+func (h wireHandle) EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error) {
+	return h.wire.EstimateGrid(region, cols, rows)
+}
+
+func (h wireHandle) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) {
+	return h.wire.EstimateSpans(spans)
+}
+
 // shardedDiverges runs one sharded-vs-single round: the identical
 // insert/delete stream flows through a coordinator over n column-band
 // shards and through one unsharded store, with concurrent scatter-gather
 // reads exercising the fan-out while the stream is in flight; the final
 // merged tile maps and span batches must be bit-identical to the single
-// store's raw estimates.
+// store's raw estimates. Every read runs on two legs over the same shard
+// stores: in-process handles, and the wire (wireHandle), so the answers
+// are also checked after crossing the frame codec.
 func shardedDiverges(g *grid.Grid, algo live.Algo, areas []float64, n int, muts []gen.Mutation, queries []grid.Span) (got, want string, bad bool) {
 	single, err := openMemStore(g, algo, areas, 1)
 	if err != nil {
@@ -61,21 +116,33 @@ func shardedDiverges(g *grid.Grid, algo live.Algo, areas []float64, n int, muts 
 
 	stores := make([]*live.Store, n)
 	cfg := shard.Config{Name: "oracle", ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
+	wireCfg := shard.Config{Name: "oracle-wire", ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
 	for i := range stores {
 		stores[i], err = openMemStore(g, algo, areas, 1)
 		if err != nil {
 			return fmt.Sprintf("opening shard %d: %v", i, err), "", true
 		}
 		defer stores[i].Close()
-		cfg.Shards = append(cfg.Shards, shard.Backends{
-			Leader: &shard.LocalHandle{Store: stores[i], Label: fmt.Sprintf("s%d", i)},
-		})
+		local := &shard.LocalHandle{Store: stores[i], Label: fmt.Sprintf("s%d", i)}
+		cfg.Shards = append(cfg.Shards, shard.Backends{Leader: local})
+		wire, unmount := mountWireNode(stores[i])
+		defer unmount()
+		wireCfg.Shards = append(wireCfg.Shards, shard.Backends{Leader: wireHandle{local, wire}})
 	}
 	c, err := shard.NewCoordinator(cfg)
 	if err != nil {
 		return "coordinator: " + err.Error(), "", true
 	}
 	defer c.Close()
+	cw, err := shard.NewCoordinator(wireCfg)
+	if err != nil {
+		return "wire coordinator: " + err.Error(), "", true
+	}
+	defer cw.Close()
+	legs := []struct {
+		name string
+		c    *shard.Coordinator
+	}{{"local", c}, {"wire", cw}}
 
 	// Concurrent readers: merged answers while ingest is running cannot be
 	// compared against the single store (snapshot timing differs), but
@@ -88,19 +155,20 @@ func shardedDiverges(g *grid.Grid, algo live.Algo, areas []float64, n int, muts 
 	go func() {
 		defer wg.Done()
 		full := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
-		for {
+		for k := 0; ; k++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			ests, err := c.EstimateGrid(full, 1, 1)
+			leg := legs[k%len(legs)]
+			ests, err := leg.c.EstimateGrid(full, 1, 1)
 			if err != nil {
-				readerErr.Store(fmt.Errorf("concurrent EstimateGrid: %w", err))
+				readerErr.Store(fmt.Errorf("concurrent %s EstimateGrid: %w", leg.name, err))
 				return
 			}
 			if len(ests) != 1 {
-				readerErr.Store(fmt.Errorf("concurrent EstimateGrid returned %d estimates", len(ests)))
+				readerErr.Store(fmt.Errorf("concurrent %s EstimateGrid returned %d estimates", leg.name, len(ests)))
 				return
 			}
 		}
@@ -167,31 +235,33 @@ func shardedDiverges(g *grid.Grid, algo live.Algo, areas []float64, n int, muts 
 			}
 		}
 	}
-	for _, tc := range [][2]int{{1, 1}, {g.NX(), g.NY()}, {div(g.NX()), div(g.NY())}} {
-		merged, err := c.EstimateGrid(full, tc[0], tc[1])
-		if err != nil {
-			return fmt.Sprintf("EstimateGrid %dx%d: %v", tc[0], tc[1], err), "", true
-		}
-		ref, err := core.EstimateGrid(est, full, tc[0], tc[1])
-		if err != nil {
-			return fmt.Sprintf("single EstimateGrid %dx%d: %v", tc[0], tc[1], err), "", true
-		}
-		for k := range ref {
-			if merged[k] != ref[k] {
-				return fmt.Sprintf("map %dx%d tile %d = %+v (merged)", tc[0], tc[1], k, merged[k]),
-					fmt.Sprintf("%+v (single)", ref[k]), true
+	spansRef := core.EstimateSet(est, queries)
+	for _, leg := range legs {
+		for _, tc := range [][2]int{{1, 1}, {g.NX(), g.NY()}, {div(g.NX()), div(g.NY())}} {
+			merged, err := leg.c.EstimateGrid(full, tc[0], tc[1])
+			if err != nil {
+				return fmt.Sprintf("%s EstimateGrid %dx%d: %v", leg.name, tc[0], tc[1], err), "", true
+			}
+			ref, err := core.EstimateGrid(est, full, tc[0], tc[1])
+			if err != nil {
+				return fmt.Sprintf("single EstimateGrid %dx%d: %v", tc[0], tc[1], err), "", true
+			}
+			for k := range ref {
+				if merged[k] != ref[k] {
+					return fmt.Sprintf("%s map %dx%d tile %d = %+v (merged)", leg.name, tc[0], tc[1], k, merged[k]),
+						fmt.Sprintf("%+v (single)", ref[k]), true
+				}
 			}
 		}
-	}
-	merged, err := c.EstimateSpans(queries)
-	if err != nil {
-		return "EstimateSpans: " + err.Error(), "", true
-	}
-	ref := core.EstimateSet(est, queries)
-	for k := range ref {
-		if merged[k] != ref[k] {
-			return fmt.Sprintf("span %v = %+v (merged)", queries[k], merged[k]),
-				fmt.Sprintf("%+v (single)", ref[k]), true
+		merged, err := leg.c.EstimateSpans(queries)
+		if err != nil {
+			return leg.name + " EstimateSpans: " + err.Error(), "", true
+		}
+		for k := range spansRef {
+			if merged[k] != spansRef[k] {
+				return fmt.Sprintf("%s span %v = %+v (merged)", leg.name, queries[k], merged[k]),
+					fmt.Sprintf("%+v (single)", spansRef[k]), true
+			}
 		}
 	}
 	return "", "", false

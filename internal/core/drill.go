@@ -97,6 +97,13 @@ func DrilldownBatch(eval SpanEvaluator, region grid.Span, opts DrillOptions) ([]
 	leaves := 0
 	spans := make([]grid.Span, 0, len(frontier))
 	for depth := 0; len(frontier) > 0; depth++ {
+		// Every frontier node ends in at least one leaf, and on the last
+		// level each ends in exactly one, so this fails exactly when the
+		// finished tree would hold more than maxTiles leaves — but before
+		// evaluating (or scattering) a batch whose answer is that error.
+		if leaves+len(frontier) > maxTiles {
+			return nil, fmt.Errorf("core: drill-down exceeded %d tiles; raise HotThreshold or MaxTiles", maxTiles)
+		}
 		spans = spans[:0]
 		for _, ni := range frontier {
 			spans = append(spans, nodes[ni].span)
@@ -123,12 +130,6 @@ func DrilldownBatch(eval SpanEvaluator, region grid.Span, opts DrillOptions) ([]
 				continue
 			}
 			leaves++
-			// The leaf set only grows as levels expand, so overflow is final
-			// the moment it happens — same error the per-tile recursion
-			// raises when appending one leaf too many.
-			if leaves > maxTiles {
-				return nil, fmt.Errorf("core: drill-down exceeded %d tiles; raise HotThreshold or MaxTiles", maxTiles)
-			}
 		}
 		frontier = next
 	}

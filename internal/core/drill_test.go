@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"spatialhist/internal/geom"
@@ -72,5 +74,43 @@ func TestDrilldownTileBudgetDeepInRecursion(t *testing.T) {
 	})
 	if err != nil || len(leaves) != 256 {
 		t.Fatalf("full refinement: %d leaves, %v", len(leaves), err)
+	}
+}
+
+// TestDrilldownBatchStopsBeforeDoomedLevel: a level whose frontier cannot
+// fit under MaxTiles fails before it is evaluated, and the bound is exact
+// — a drill whose leaves fill MaxTiles exactly still succeeds.
+func TestDrilldownBatchStopsBeforeDoomedLevel(t *testing.T) {
+	region := grid.Span{I1: 0, J1: 0, I2: 15, J2: 15}
+	for _, tc := range []struct {
+		maxTiles int
+		batches  []int // sizes of the evaluated levels
+		ok       bool
+	}{
+		{256, []int{4, 16, 64, 256}, true},
+		{255, []int{4, 16, 64}, false},
+		{63, []int{4, 16}, false},
+	} {
+		var batches []int
+		allHot := func(spans []grid.Span) ([]Estimate, error) {
+			batches = append(batches, len(spans))
+			ests := make([]Estimate, len(spans))
+			for i := range ests {
+				ests[i].Disjoint = 1
+			}
+			return ests, nil
+		}
+		leaves, err := DrilldownBatch(allHot, region, DrillOptions{
+			Relation: geom.Rel2Disjoint, HotThreshold: 1, MaxDepth: 10, MaxTiles: tc.maxTiles,
+		})
+		if (err == nil) != tc.ok {
+			t.Fatalf("MaxTiles %d: %d leaves, err %v", tc.maxTiles, len(leaves), err)
+		}
+		if fmt.Sprint(batches) != fmt.Sprint(tc.batches) {
+			t.Fatalf("MaxTiles %d: evaluated batches %v, want %v", tc.maxTiles, batches, tc.batches)
+		}
+		if !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("exceeded %d tiles", tc.maxTiles)) {
+			t.Fatalf("MaxTiles %d: error %q", tc.maxTiles, err)
+		}
 	}
 }

@@ -340,6 +340,9 @@ func (c *Coordinator) EstimateGrid(region grid.Span, cols, rows int) ([]core.Est
 // EstimateSpans scatter-gathers a batch of arbitrary spans — the query
 // and drill-down frontier path.
 func (c *Coordinator) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) {
+	if len(spans) == 0 || len(spans) > maxSpanBatch {
+		return nil, fmt.Errorf("span batch size %d outside (0, %d]", len(spans), maxSpanBatch)
+	}
 	for _, s := range spans {
 		if err := checkSpan(c.g, s); err != nil {
 			return nil, err

@@ -119,41 +119,6 @@ func (h *LocalHandle) Mutate(op byte, rects []geom.Rect, flush bool) (applied, r
 	return applied, rejected, h.Store.Generation(), nil
 }
 
-// Wire types of the shard-node batch endpoints. Estimates travel as raw
-// [disjoint, contains, contained, overlap] int64 quadruples: Go's JSON
-// encoding of int64 is exact, so the merged sums stay bit-identical to an
-// in-process merge.
-type estimateGridRequest struct {
-	Region [4]int `json:"region"` // i1, j1, i2, j2
-	Cols   int    `json:"cols"`
-	Rows   int    `json:"rows"`
-}
-
-type estimateSpansRequest struct {
-	Spans [][4]int `json:"spans"`
-}
-
-type estimateResponse struct {
-	Gen  uint64     `json:"gen"`
-	Ests [][4]int64 `json:"ests"`
-}
-
-func packEstimates(gen uint64, ests []core.Estimate) estimateResponse {
-	out := estimateResponse{Gen: gen, Ests: make([][4]int64, len(ests))}
-	for i, e := range ests {
-		out.Ests[i] = [4]int64{e.Disjoint, e.Contains, e.Contained, e.Overlap}
-	}
-	return out
-}
-
-func unpackEstimates(resp estimateResponse) []core.Estimate {
-	out := make([]core.Estimate, len(resp.Ests))
-	for i, q := range resp.Ests {
-		out[i] = core.Estimate{Disjoint: q[0], Contains: q[1], Contained: q[2], Overlap: q[3]}
-	}
-	return out
-}
-
 // HTTPHandle is a Handle over a shard node's HTTP API (the NodeHandler
 // endpoints plus the live server's ingest and status endpoints).
 type HTTPHandle struct {
@@ -223,31 +188,43 @@ func (h *HTTPHandle) Info() (geobrowse.Info, error) {
 
 // EstimateGrid implements Handle.
 func (h *HTTPHandle) EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error) {
-	var resp estimateResponse
-	req := estimateGridRequest{Region: [4]int{region.I1, region.J1, region.I2, region.J2}, Cols: cols, Rows: rows}
-	if err := h.postJSON("/api/shard/estimate", req, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Ests) != cols*rows {
-		return nil, fmt.Errorf("shard: %s returned %d estimates for a %dx%d map", h.Name(), len(resp.Ests), cols, rows)
-	}
-	return unpackEstimates(resp), nil
+	return h.postFrame("/api/shard/estimate", encodeGridRequest(region, cols, rows), cols*rows)
 }
 
 // EstimateSpans implements Handle.
 func (h *HTTPHandle) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) {
-	req := estimateSpansRequest{Spans: make([][4]int, len(spans))}
-	for i, s := range spans {
-		req.Spans[i] = [4]int{s.I1, s.J1, s.I2, s.J2}
+	return h.postFrame("/api/shard/spans", encodeSpansRequest(spans), len(spans))
+}
+
+// postFrame posts a request frame to path and decodes the response frame,
+// which must carry exactly want estimates.
+func (h *HTTPHandle) postFrame(path string, frame []byte, want int) ([]core.Estimate, error) {
+	resp, err := h.client().Post(h.Base+path, frameType, bytes.NewReader(frame))
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s: %w", h.Name(), err)
 	}
-	var resp estimateResponse
-	if err := h.postJSON("/api/shard/spans", req, &resp); err != nil {
-		return nil, err
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("shard: %s%s: %s: %s", h.Name(), path, resp.Status, bytes.TrimSpace(msg))
 	}
-	if len(resp.Ests) != len(spans) {
-		return nil, fmt.Errorf("shard: %s returned %d estimates for %d spans", h.Name(), len(resp.Ests), len(spans))
+	if ct := resp.Header.Get("Content-Type"); ct != frameType {
+		return nil, fmt.Errorf("shard: %s%s: response type %q, want %s", h.Name(), path, ct, frameType)
 	}
-	return unpackEstimates(resp), nil
+	size := int64(estimateFrameBytes(want))
+	if resp.ContentLength != size {
+		return nil, fmt.Errorf("shard: %s%s: returned %d bytes for %d estimates, want %d",
+			h.Name(), path, resp.ContentLength, want, size)
+	}
+	b := make([]byte, size)
+	if _, err := io.ReadFull(resp.Body, b); err != nil {
+		return nil, fmt.Errorf("shard: %s%s: reading response: %w", h.Name(), path, err)
+	}
+	_, ests, err := decodeEstimates(b, want)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s%s: %w", h.Name(), path, err)
+	}
+	return ests, nil
 }
 
 // Status implements Handle.

@@ -19,7 +19,8 @@ import (
 // empty one.
 const walSizeHeader = "X-Wal-Size"
 
-// maxSpanBatch bounds one /api/shard/spans request.
+// maxSpanBatch bounds one span batch: a /api/shard/spans request, a
+// tile map, and a coordinator's EstimateSpans call.
 const maxSpanBatch = 100_000
 
 // defaultSegmentBytes is the WAL segment size served when the tailer
@@ -33,16 +34,20 @@ const (
 // NodeHandler exposes a live store's shard-node API — the endpoints a
 // coordinator and a replica tailer consume:
 //
-//	POST /api/shard/estimate    raw tile-map estimates {"region":[i1,j1,i2,j2],"cols":C,"rows":R}
-//	POST /api/shard/spans       raw span-batch estimates {"spans":[[i1,j1,i2,j2],...]}
+//	POST /api/shard/estimate    raw tile-map estimates; frame i1 j1 i2 j2 cols rows
+//	POST /api/shard/spans       raw span-batch estimates; frame i1 j1 i2 j2 per span
 //	GET  /api/replica/wal       journal bytes from ?from= (at most ?max=), X-Wal-Size = total
 //	GET  /api/replica/checkpoint  checkpoint stream of the current state
 //
-// Estimates are served RAW (unclamped): the coordinator merges them by
-// addition and clamps only the merged sums, which is what keeps sharded
-// answers bit-identical to a single store's. Mount it alongside the
-// geobrowse live server; reg receives shard_node_* telemetry (nil means
-// telemetry.Default()).
+// The two estimate endpoints speak fixed-width little-endian int64 frames
+// (see frame.go), not JSON: both directions are application/octet-stream,
+// a request of any other type is answered 415, and the response is the
+// serving generation followed by one disjoint/contains/contained/overlap
+// quadruple per estimate. Estimates are served RAW (unclamped): the
+// coordinator merges them by addition and clamps only the merged sums,
+// which is what keeps sharded answers bit-identical to a single store's.
+// Mount it alongside the geobrowse live server; reg receives shard_node_*
+// telemetry (nil means telemetry.Default()).
 func NodeHandler(store *live.Store, reg *telemetry.Registry) http.Handler {
 	if reg == nil {
 		reg = telemetry.Default()
@@ -97,48 +102,60 @@ func checkSpan(g *grid.Grid, s grid.Span) error {
 	return nil
 }
 
+// frameError answers a request whose frame could not be read: 415 for a
+// body that is not a frame, 400 for everything else.
+func frameError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if errors.Is(err, errFrameType) {
+		code = http.StatusUnsupportedMediaType
+	}
+	http.Error(w, err.Error(), code)
+}
+
 func (n *node) handleEstimateGrid(w http.ResponseWriter, r *http.Request) {
-	var req estimateGridRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	b, err := readFrame(r)
+	if err != nil {
+		frameError(w, err)
+		return
+	}
+	region, cols, rows, err := decodeGridRequest(b)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	region := grid.Span{I1: req.Region[0], J1: req.Region[1], I2: req.Region[2], J2: req.Region[3]}
 	if err := checkSpan(n.store.Grid(), region); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Cols < 1 || req.Rows < 1 || int64(req.Cols)*int64(req.Rows) > maxSpanBatch {
-		http.Error(w, fmt.Sprintf("tiling %dx%d outside (0, %d]", req.Cols, req.Rows, maxSpanBatch),
+	if cols < 1 || rows < 1 || cols > maxSpanBatch || rows > maxSpanBatch || int64(cols)*int64(rows) > maxSpanBatch {
+		http.Error(w, fmt.Sprintf("tiling %dx%d outside (0, %d]", cols, rows, maxSpanBatch),
 			http.StatusBadRequest)
 		return
 	}
 	est, gen, release := n.store.AcquireEstimator()
 	defer release()
-	ests, err := core.EstimateGrid(est, region, req.Cols, req.Rows)
+	ests, err := core.EstimateGrid(est, region, cols, rows)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	n.estimates.Inc()
-	writeJSON(w, packEstimates(gen, ests))
+	writeFrame(w, encodeEstimates(gen, ests))
 }
 
 func (n *node) handleEstimateSpans(w http.ResponseWriter, r *http.Request) {
-	var req estimateSpansRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	b, err := readFrame(r)
+	if err != nil {
+		frameError(w, err)
+		return
+	}
+	spans, err := decodeSpansRequest(b)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Spans) == 0 || len(req.Spans) > maxSpanBatch {
-		http.Error(w, fmt.Sprintf("span batch size %d outside (0, %d]", len(req.Spans), maxSpanBatch),
-			http.StatusBadRequest)
-		return
-	}
-	spans := make([]grid.Span, len(req.Spans))
-	for i, q := range req.Spans {
-		spans[i] = grid.Span{I1: q[0], J1: q[1], I2: q[2], J2: q[3]}
-		if err := checkSpan(n.store.Grid(), spans[i]); err != nil {
+	for _, s := range spans {
+		if err := checkSpan(n.store.Grid(), s); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -146,7 +163,7 @@ func (n *node) handleEstimateSpans(w http.ResponseWriter, r *http.Request) {
 	est, gen, release := n.store.AcquireEstimator()
 	defer release()
 	n.spanBatches.Inc()
-	writeJSON(w, packEstimates(gen, core.EstimateSet(est, spans)))
+	writeFrame(w, encodeEstimates(gen, core.EstimateSet(est, spans)))
 }
 
 func (n *node) handleWAL(w http.ResponseWriter, r *http.Request) {

@@ -377,15 +377,16 @@ func readBody(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(buf[:n])
 }
 
-func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
-	g := testGrid(t)
-	single, shards := buildSharded(t, g, 2, 300, 41)
-
-	nodes := make([]*httptest.Server, len(shards))
-	cfg := Config{Name: "world", ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
+// remoteTopology serves shards through node servers and returns a
+// coordinator over them (HTTPHandle leaders, so every estimate crosses
+// the frame hop) plus its front, and a single-node front over single.
+func remoteTopology(t *testing.T, single *live.Store, shards []*live.Store) (c *Coordinator, reg *telemetry.Registry, coord, ref *httptest.Server) {
+	t.Helper()
+	reg = telemetry.NewRegistry()
+	cfg := Config{Name: "world", ProbeInterval: -1, Telemetry: reg}
 	for i, s := range shards {
-		nodes[i] = nodeServer(t, fmt.Sprintf("shard%d", i), s)
-		cfg.Shards = append(cfg.Shards, Backends{Leader: &HTTPHandle{Base: nodes[i].URL}})
+		node := nodeServer(t, fmt.Sprintf("shard%d", i), s)
+		cfg.Shards = append(cfg.Shards, Backends{Leader: &HTTPHandle{Base: node.URL}})
 	}
 	c, err := NewCoordinator(cfg)
 	if err != nil {
@@ -393,26 +394,43 @@ func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	coord := httptest.NewServer(NewServer(c, telemetry.NewRegistry()))
+	coord = httptest.NewServer(NewServer(c, telemetry.NewRegistry()))
 	t.Cleanup(coord.Close)
-	ref := httptest.NewServer(geobrowse.NewLiveServer("world", single, geobrowse.Options{Telemetry: telemetry.NewRegistry()}))
+	ref = httptest.NewServer(geobrowse.NewLiveServer("world", single, geobrowse.Options{Telemetry: telemetry.NewRegistry()}))
 	t.Cleanup(ref.Close)
+	return c, reg, coord, ref
+}
+
+// sameResponse requires the coordinator and the single node to answer q
+// with the same status and byte-identical bodies, and returns the status.
+func sameResponse(t *testing.T, coord, ref *httptest.Server, q string) int {
+	t.Helper()
+	cs, cb := readBody(t, coord.URL+q)
+	rs, rb := readBody(t, ref.URL+q)
+	if cs != rs {
+		t.Fatalf("%s: coordinator status %d, single %d (%s vs %s)", q, cs, rs, cb, rb)
+	}
+	if cb != rb {
+		t.Fatalf("%s:\ncoordinator: %s\nsingle:      %s", q, cb, rb)
+	}
+	return cs
+}
+
+func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
+	g := testGrid(t) // 64x64 units in 32x32 cells: cell k spans [2k, 2k+2]
+	single, shards := buildSharded(t, g, 2, 300, 41)
+	_, _, coord, ref := remoteTopology(t, single, shards)
 
 	for _, q := range []string{
-		"/api/browse?i1=0&j1=0&i2=31&j2=31&cols=8&rows=8",
-		"/api/browse?i1=4&j1=4&i2=27&j2=19&cols=4&rows=2",
-		"/api/query?i1=0&j1=0&i2=31&j2=31",
-		"/api/query?i1=10&j1=3&i2=18&j2=30",
-		"/api/drill?i1=0&j1=0&i2=31&j2=31&relation=overlap&hot=3&depth=4",
-		"/api/drill?i1=0&j1=0&i2=31&j2=31&relation=contained&hot=1&depth=3",
+		"/api/browse?x1=0&y1=0&x2=64&y2=64&cols=8&rows=8",
+		"/api/browse?x1=8&y1=8&x2=56&y2=40&cols=4&rows=2",
+		"/api/query?x1=0&y1=0&x2=64&y2=64",
+		"/api/query?x1=20&y1=6&x2=38&y2=62",
+		"/api/drill?x1=0&y1=0&x2=64&y2=64&relation=overlap&hot=3&depth=4",
+		"/api/drill?x1=0&y1=0&x2=64&y2=64&relation=contained&hot=1&depth=3",
 	} {
-		cs, cb := readBody(t, coord.URL+q)
-		rs, rb := readBody(t, ref.URL+q)
-		if cs != rs {
-			t.Fatalf("%s: coordinator status %d, single %d (%s vs %s)", q, cs, rs, cb, rb)
-		}
-		if cb != rb {
-			t.Fatalf("%s:\ncoordinator: %s\nsingle:      %s", q, cb, rb)
+		if st := sameResponse(t, coord, ref, q); st != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", q, st)
 		}
 	}
 
@@ -595,6 +613,12 @@ func TestCoordinatorRejectsBadQueries(t *testing.T) {
 	if _, err := c.EstimateSpans([]grid.Span{{I1: -1, J1: 0, I2: 0, J2: 0}}); err == nil {
 		t.Fatal("negative span accepted")
 	}
+	if _, err := c.EstimateSpans(nil); err == nil {
+		t.Fatal("empty span batch accepted")
+	}
+	if _, err := c.EstimateSpans(make([]grid.Span, maxSpanBatch+1)); err == nil {
+		t.Fatal("oversized span batch accepted")
+	}
 	// Nobody was scattered to, so every backend is still alive.
 	for _, grp := range c.shards {
 		for _, b := range grp.all {
@@ -602,5 +626,29 @@ func TestCoordinatorRejectsBadQueries(t *testing.T) {
 				t.Fatalf("backend %s marked dead by a bad query", b.h.Name())
 			}
 		}
+	}
+}
+
+// TestDoomedDrillKeepsBackendsAlive: a drill whose frontier outgrows the
+// leaf cap fails before the oversized level is scattered, with the single
+// node's status and body, and no healthy backend is marked dead for it.
+func TestDoomedDrillKeepsBackendsAlive(t *testing.T) {
+	g := grid.New(geom.Rect{XMin: 0, YMin: 0, XMax: 512, YMax: 512}, 512, 512)
+	single, shards := buildSharded(t, g, 2, 60, 5)
+	c, reg, coord, ref := remoteTopology(t, single, shards)
+
+	q := "/api/drill?x1=0&y1=0&x2=512&y2=512&relation=disjoint&hot=1&depth=12"
+	if st := sameResponse(t, coord, ref, q); st != http.StatusBadRequest {
+		t.Fatalf("%s: status %d, want 400", q, st)
+	}
+	for _, grp := range c.shards {
+		for _, b := range grp.all {
+			if !b.alive.Load() {
+				t.Fatalf("backend %s marked dead by a doomed drill", b.h.Name())
+			}
+		}
+	}
+	if n := reg.Counter("shard_scatter_errors_total", "").Value(); n != 0 {
+		t.Fatalf("shard_scatter_errors_total = %d, want 0", n)
 	}
 }
